@@ -8,19 +8,25 @@
 //! (weaken vs reset) controls how fast a misbehaving signature is silenced,
 //! and `self_invalidate_shared = false` restricts speculation to dirty
 //! copies only.
+//!
+//! These `PredictorConfig` knobs have no policy spec-string form, so unlike
+//! the paper's figures this ablation cannot be a campaign spec.
 
-use ltp_bench::{mean, pct, print_header, SuiteSweep};
-use ltp_core::{PredictorConfig, PrematurePenalty};
+use ltp_bench::{mean, pct, print_header};
+use ltp_core::{PolicyRegistry, PredictorConfig, PrematurePenalty};
+use ltp_system::SweepSpec;
 
-fn run_all(predictor: PredictorConfig) -> (f64, f64) {
-    let sweep = SuiteSweep::with_predictor(&["ltp"], predictor);
-    let pred: Vec<f64> = sweep
-        .reports()
-        .iter()
-        .map(|r| r.metrics.predicted_pct())
+/// Sweeps the whole suite under `ltp` with `predictor`; returns the mean
+/// predicted and mispredicted percentages.
+fn run_all(registry: &PolicyRegistry, predictor: PredictorConfig) -> (f64, f64) {
+    let reports = SweepSpec::new()
+        .all_benchmarks()
+        .policy_specs(registry, &["ltp"])
+        .expect("`ltp` resolves")
+        .predictor(predictor)
         .collect();
-    let mis: Vec<f64> = sweep
-        .reports()
+    let pred: Vec<f64> = reports.iter().map(|r| r.metrics.predicted_pct()).collect();
+    let mis: Vec<f64> = reports
         .iter()
         .map(|r| r.metrics.mispredicted_pct())
         .collect();
@@ -70,8 +76,9 @@ fn main() {
         ),
     ];
 
+    let registry = PolicyRegistry::with_builtins();
     for (name, cfg) in configs {
-        let (p, m) = run_all(cfg);
+        let (p, m) = run_all(&registry, cfg);
         println!("{:<34} {:>12} {:>10}", name, pct(p), pct(m));
     }
     println!();

@@ -1,101 +1,17 @@
-//! # `ltp-bench` — support code for the figure/table harness
+//! # `ltp-bench` — support code for the host-performance benches
 //!
-//! Each bench target under `benches/` regenerates one table or figure of the
-//! paper (run `cargo bench -p ltp-bench --bench fig6_accuracy` etc., or all
-//! of them with `cargo bench`). This library holds the shared scaffolding:
-//! the [`SuiteSweep`] wrapper over the parallel `SweepSpec` driver, report
-//! formatting, the micro-benchmark timer, and the mean helper the paper's
-//! summary numbers use.
+//! Each bench target under `benches/` measures host time of one layer of the
+//! simulator (run `cargo bench -p ltp-bench --bench micro_predictor` etc.).
+//! The paper's figures and tables are not benches: they come from
+//! `ltp campaign` over a spec in `reports/specs/` followed by `ltp report`.
+//! This library holds the shared scaffolding: the micro-benchmark timer,
+//! report formatting, and the mean helper the summary lines use.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::hint::black_box;
 use std::time::Instant;
-
-use ltp_core::{PolicyRegistry, PredictorConfig};
-use ltp_system::{RunReport, SweepSpec};
-use ltp_workloads::Benchmark;
-
-/// One full-suite sweep: every Table 2 benchmark × the given policy specs
-/// on the paper's 32-node machine, executed in parallel.
-///
-/// Reports are stored in run order (benchmark-major, then policy), so
-/// [`SuiteSweep::report`] is a direct index.
-#[derive(Debug)]
-pub struct SuiteSweep {
-    specs: Vec<String>,
-    reports: Vec<RunReport>,
-}
-
-impl SuiteSweep {
-    /// Sweeps the whole suite under each policy spec with default predictor
-    /// tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec does not resolve against the built-in registry.
-    pub fn run(specs: &[&str]) -> Self {
-        SuiteSweep::with_predictor(specs, PredictorConfig::default())
-    }
-
-    /// Sweeps the whole suite under each policy spec with custom predictor
-    /// tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec does not resolve against the built-in registry.
-    pub fn with_predictor(specs: &[&str], predictor: PredictorConfig) -> Self {
-        let registry = PolicyRegistry::with_builtins();
-        let reports = SweepSpec::new()
-            .all_benchmarks()
-            .policy_specs(&registry, specs)
-            .expect("bench policy specs resolve")
-            .predictor(predictor)
-            .collect();
-        SuiteSweep {
-            specs: specs.iter().map(|s| s.to_string()).collect(),
-            reports,
-        }
-    }
-
-    /// The policy specs this sweep ran, in column order.
-    pub fn specs(&self) -> &[String] {
-        &self.specs
-    }
-
-    /// All reports, benchmark-major.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
-    }
-
-    /// The report of one (benchmark, policy-column) cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec_idx` is out of range.
-    pub fn report(&self, benchmark: Benchmark, spec_idx: usize) -> &RunReport {
-        assert!(spec_idx < self.specs.len(), "policy column out of range");
-        let b_idx = Benchmark::ALL
-            .iter()
-            .position(|b| *b == benchmark)
-            .expect("suite benchmark");
-        &self.reports[b_idx * self.specs.len() + spec_idx]
-    }
-}
-
-/// Runs one benchmark under one policy spec on the paper's 32-node machine.
-///
-/// # Panics
-///
-/// Panics if the spec does not resolve against the built-in registry.
-pub fn run_suite_point(benchmark: Benchmark, spec: &str) -> RunReport {
-    ltp_system::ExperimentSpec::builder(benchmark)
-        .policy_spec(spec)
-        .expect("bench policy spec resolves")
-        .build()
-        .run()
-}
 
 /// Arithmetic mean of a slice (the paper reports arithmetic averages for
 /// accuracy percentages).
@@ -107,7 +23,7 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Prints the standard header naming the figure/table being regenerated.
+/// Prints the standard header naming what a bench measures.
 pub fn print_header(what: &str, paper_ref: &str) {
     println!();
     println!("==============================================================================");

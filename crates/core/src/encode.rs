@@ -209,8 +209,9 @@ impl SignatureEncoder for TruncatedAdd {
 /// An order-sensitive alternative encoder: rotate-left-then-XOR.
 ///
 /// Unlike [`TruncatedAdd`], two traces containing the same PCs in different
-/// orders encode differently. The `ablation_encoding` bench quantifies
-/// whether order sensitivity buys accuracy on the suite (the paper conjectures
+/// orders encode differently. The `ltp-xor:bits=13` rows of the
+/// `reports/specs/fig8-table-org.json` campaign quantify whether order
+/// sensitivity buys accuracy on the suite (the paper conjectures
 /// sophisticated encodings could shrink global tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XorRotate {

@@ -746,7 +746,7 @@ impl PolicyFactory for GlobalLtpFactory {
 }
 
 /// Factory for the per-block LTP with the order-sensitive XOR-rotate
-/// encoder (the `ablation_encoding` variant).
+/// encoder (the encoding ablation of the Fig. 8 campaign).
 #[derive(Debug, Clone, Copy)]
 pub struct XorLtpFactory {
     /// Signature width.

@@ -9,7 +9,6 @@
 //! | `fig1`  | Fig. 1 | protocol traffic per policy, messages normalized to base |
 //! | `fig2`  | Fig. 2 | self-invalidation behavior (sent/verified/timely/premature) |
 //! | `fig6`  | Fig. 6 | prediction accuracy/coverage breakdown per benchmark |
-//! | `fig7`  | Fig. 7 | execution time normalized to base MSI |
 //! | `fig9`  | Fig. 9 | speedup over base MSI, with per-policy averages |
 //! | `t2`    | Table 2 | workload characterization under the base protocol |
 //! | `t3`    | Table 3 | predictor storage (blocks tracked, live entries, bits) |
@@ -38,8 +37,6 @@ pub enum FigureId {
     Fig2,
     /// Prediction breakdown (Fig. 6 analog).
     Fig6,
-    /// Normalized execution time (Fig. 7 analog).
-    Fig7,
     /// Speedups (Fig. 9 analog).
     Fig9,
     /// Workload characterization (Table 2 analog).
@@ -52,11 +49,10 @@ pub enum FigureId {
 
 impl FigureId {
     /// Every artifact, in catalog order.
-    pub const ALL: [FigureId; 8] = [
+    pub const ALL: [FigureId; 7] = [
         FigureId::Fig1,
         FigureId::Fig2,
         FigureId::Fig6,
-        FigureId::Fig7,
         FigureId::Fig9,
         FigureId::T2,
         FigureId::T3,
@@ -69,7 +65,6 @@ impl FigureId {
             "1" => Some(FigureId::Fig1),
             "2" => Some(FigureId::Fig2),
             "6" => Some(FigureId::Fig6),
-            "7" => Some(FigureId::Fig7),
             "9" => Some(FigureId::Fig9),
             "t2" => Some(FigureId::T2),
             "t3" => Some(FigureId::T3),
@@ -84,7 +79,6 @@ impl FigureId {
             FigureId::Fig1 => "fig1",
             FigureId::Fig2 => "fig2",
             FigureId::Fig6 => "fig6",
-            FigureId::Fig7 => "fig7",
             FigureId::Fig9 => "fig9",
             FigureId::T2 => "t2",
             FigureId::T3 => "t3",
@@ -97,7 +91,6 @@ impl FigureId {
             FigureId::Fig1 => "Protocol traffic (Fig. 1 analog)",
             FigureId::Fig2 => "Self-invalidation behavior (Fig. 2 analog)",
             FigureId::Fig6 => "Prediction breakdown (Fig. 6 analog)",
-            FigureId::Fig7 => "Execution time normalized to base MSI (Fig. 7 analog)",
             FigureId::Fig9 => "Speedup over base MSI (Fig. 9 analog)",
             FigureId::T2 => "Workload characterization under base MSI (Table 2 analog)",
             FigureId::T3 => "Predictor storage (Table 3 analog)",
@@ -455,24 +448,15 @@ fn render(figure: FigureId, rows: &[Row], stuck: &[StuckRow]) -> (String, String
                 percent(r.predicted, r.invalidation_events())
             });
         }
-        FigureId::Fig7 | FigureId::Fig9 => {
-            let speedup = figure == FigureId::Fig9;
-            if speedup {
-                md.push_str("| benchmark | policy | nodes | dir | speedup vs base |\n");
-            } else {
-                md.push_str("| benchmark | policy | nodes | dir | normalized time |\n");
-            }
+        FigureId::Fig9 => {
+            md.push_str("| benchmark | policy | nodes | dir | speedup vs base |\n");
             md.push_str("|---|---|---:|---|---:|\n");
             for r in rows.iter().filter(|r| r.policy != "base") {
                 let Some(base) = base_exec(r) else { continue };
                 if base == 0 || r.exec_cycles == 0 {
                     continue;
                 }
-                let value = if speedup {
-                    base as f64 / r.exec_cycles as f64
-                } else {
-                    r.exec_cycles as f64 / base as f64
-                };
+                let value = base as f64 / r.exec_cycles as f64;
                 let _ = writeln!(
                     md,
                     "| {} | `{}` | {} | {} | {:.3} |",
@@ -482,28 +466,19 @@ fn render(figure: FigureId, rows: &[Row], stuck: &[StuckRow]) -> (String, String
                     row_key(r)
                         .field("exec_cycles", r.exec_cycles)
                         .field("base_exec_cycles", base)
-                        .field(
-                            if speedup {
-                                "speedup"
-                            } else {
-                                "normalized_time"
-                            },
-                            fixed(value, 3),
-                        )
+                        .field("speedup", fixed(value, 3))
                         .build(),
                 );
             }
-            if speedup {
-                append_policy_averages(&mut md, &mut json_rows, rows, |r| {
-                    base_exec(r).map_or(0.0, |base| {
-                        if r.exec_cycles == 0 {
-                            0.0
-                        } else {
-                            base as f64 / r.exec_cycles as f64
-                        }
-                    })
-                });
-            }
+            append_policy_averages(&mut md, &mut json_rows, rows, |r| {
+                base_exec(r).map_or(0.0, |base| {
+                    if r.exec_cycles == 0 {
+                        0.0
+                    } else {
+                        base as f64 / r.exec_cycles as f64
+                    }
+                })
+            });
         }
         FigureId::T2 => {
             md.push_str("| benchmark | nodes | dir | exec cycles | misses | hits | miss % | invalidations | messages |\n");
@@ -723,6 +698,7 @@ mod tests {
         assert_eq!(FigureId::parse("fig9"), Some(FigureId::Fig9));
         assert_eq!(FigureId::parse("t4"), Some(FigureId::T4));
         assert_eq!(FigureId::parse("bogus"), None);
+        assert_eq!(FigureId::parse("7"), None);
         for figure in FigureId::ALL {
             assert_eq!(FigureId::parse(figure.stem()), Some(figure));
         }

@@ -30,7 +30,7 @@ pub const PC_FORCE_LOAD: u32 = 0x4e464;
 /// Chosen so `(PC_FORCE_LOAD + PC_FORCE_STORE) * 2` is not ≡ 0 (mod 2^13):
 /// the default 13-bit signature must not alias the reduction loop's own
 /// prefixes (an instance of the Figure 7 width/aliasing trade-off that the
-/// `fig7_signature_size` bench explores deliberately).
+/// `reports/specs/fig7-signature.json` campaign explores deliberately).
 pub const PC_FORCE_STORE: u32 = 0x48ba4;
 
 /// Coordinate blocks owned per node.

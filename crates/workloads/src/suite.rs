@@ -3,8 +3,7 @@
 //! [`Benchmark`] enumerates the nine applications; [`WorkloadParams`]
 //! carries the machine size, seed, and optional iteration override. The
 //! scaled default inputs (chosen so a full suite × policy sweep runs in
-//! seconds) are documented per benchmark and printed by the `table2_suite`
-//! bench.
+//! seconds) are documented per benchmark and printed by `ltp list`.
 
 use std::fmt;
 

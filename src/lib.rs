@@ -66,8 +66,9 @@
 //!
 //! The runnable examples under `examples/` walk through the predictor API
 //! (`quickstart`), the protocol (`protocol_walkthrough`), custom policy
-//! registration (`custom_policy`), and three workload scenarios;
-//! `cargo bench` regenerates every table and figure.
+//! registration (`custom_policy`), and three workload scenarios. The
+//! paper's tables and figures come from `ltp campaign` over a spec in
+//! `reports/specs/` followed by `ltp report`.
 //!
 //! [`ltp::system::SweepSpec`]: crate::system::SweepSpec
 //! [`ltp::system::ReportSink`]: crate::system::ReportSink

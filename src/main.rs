@@ -54,7 +54,7 @@ USAGE:
     ltp trace-info <FILE.ltrace> [FILE..]
     ltp predict    -b <b1,..|all> and/or -t <FILE> [-p <spec1,..>] [options]
     ltp campaign   [SPEC.json] [-b .. -p .. -n .. -d ..] -o <DIR> [--resume] [--dry-run]
-    ltp report     <DIR> [--fig all|1|2|6|7|9|t2|t3|t4] [-o <OUTDIR>]
+    ltp report     <DIR> [--fig all|1|2|6|9|t2|t3|t4] [-o <OUTDIR>]
 
 OPTIONS:
     -b, --benchmarks <names>  comma-separated benchmarks, or `all`
@@ -115,7 +115,8 @@ folds a campaign store into the paper's figures and tables (markdown +
 JSON) without re-running anything. See docs/manual.md §Campaigns.
 
 Trace files replay at their recorded geometry (-n/-i/-s do not apply).
-Every table and figure of the paper is regenerated by `cargo bench`.
+Every table and figure of the paper is regenerated by
+`ltp campaign reports/specs/<name>.json -o <DIR>` then `ltp report <DIR>`.
 Full manual: docs/manual.md";
 
 /// Parsed command-line options.
