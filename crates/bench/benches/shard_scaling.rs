@@ -1,28 +1,28 @@
 //! Shard-scaling baseline: what does `--shards` buy on one long run?
 //!
 //! The three longest benchmarks run at a 128-node geometry on 1, 2, 4, and
-//! 8 shards. Each configuration is executed twice — once on worker threads
-//! (the production path) and once single-threaded via
-//! [`Machine::run_single_threaded`] (every shard's window unpreempted on
-//! the calling thread) — asserting both produce metrics equal to the
-//! serial run's (the bit-identity contract). Two speedups are recorded:
+//! 8 shards. Each configuration is executed on the production path
+//! ([`Machine::run`], `min(shards, host cores)` threads) [`WALL_REPS`] times
+//! and once single-threaded via [`Machine::run_single_threaded`] (every
+//! shard's window unpreempted on the calling thread), asserting every run
+//! produces metrics equal to the serial run's (the bit-identity contract).
+//! Two speedups are recorded:
 //!
-//! * **wall** — serial wall-clock / threaded-run wall-clock. The
-//!   end-to-end number, but it only measures the engine when the host has
-//!   at least one free core per shard; below that, threads time-slice and
-//!   wall speedup is bounded by 1 whatever the engine does.
+//! * **wall** — median serial wall-clock / median threaded wall-clock. The
+//!   end-to-end number and the acceptance metric. Threads never outnumber
+//!   host cores, so beyond the core count extra shards only add windows'
+//!   worth of rendezvous, not parallelism.
 //! * **critical-path** — serial busy time / max per-shard busy time, from
 //!   [`Machine::shard_busy_ns`] of the *single-threaded* run, where
 //!   per-shard busy time is exact. This is the speedup the partition
 //!   supports once enough cores exist — Brent's bound measured, not
 //!   modeled — and the number that diagnoses imbalance (one fat shard
-//!   caps it).
+//!   caps it). Reported, never the verdict.
 //!
 //! Results go to `BENCH_shard.json` at the repository root, one JSON line
 //! per (benchmark, shard count) plus a meta line recording the host core
-//! count and the acceptance verdict: **≥2× speedup at 4 shards on at least
-//! one benchmark**, judged on wall clock when the host has ≥4 cores and on
-//! the critical path otherwise (the committed baseline notes which).
+//! count and the acceptance verdict: **≥1.5× wall-clock speedup at 2
+//! shards on at least one benchmark**.
 //!
 //! ```sh
 //! cargo bench -p ltp-bench --bench shard_scaling
@@ -46,6 +46,10 @@ fn out_path() -> std::path::PathBuf {
 
 const NODES: u16 = 128;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
+/// Threaded runs per configuration; the wall time is their median.
+const WALL_REPS: usize = 3;
+/// The acceptance bar: best wall-clock speedup at 2 shards.
+const ACCEPT_AT_2: f64 = 1.5;
 
 fn build(benchmark: Benchmark, iters: u32, shards: usize) -> Machine {
     let registry = PolicyRegistry::with_builtins();
@@ -92,36 +96,67 @@ fn one_run(
     (wall, busy, metrics.expect("core metrics attached"))
 }
 
+/// Median of a small sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
 fn main() {
     print_header(
         "Shard scaling — one machine split across worker threads",
         "infrastructure benchmark (sharded-engine acceptance; no paper analogue)",
     );
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("{NODES} nodes, ltp policy, host cores: {host_cores}\n");
+    println!("{NODES} nodes, ltp policy, host cores: {host_cores}, wall = median of {WALL_REPS}\n");
     println!(
-        "{:<14} {:>6} {:>10} {:>10} {:>10} {:>12} {:>10}",
-        "benchmark", "shards", "wall(s)", "busy-max", "busy-sum", "wall-spdup", "cp-spdup"
+        "{:<14} {:>6} {:>7} {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "benchmark",
+        "shards",
+        "threads",
+        "wall(s)",
+        "busy-max",
+        "busy-sum",
+        "wall-spdup",
+        "cp-spdup"
     );
 
     let file = File::create(out_path()).expect("create BENCH_shard.json");
     let mut out = BufWriter::new(file);
     // Iteration counts chosen so each serial run is seconds, not millis —
-    // long enough that per-window barrier overhead is amortized the way a
-    // real giant run amortizes it.
+    // long enough that per-window rendezvous overhead is amortized the way
+    // a real giant run amortizes it.
     let suite = [
         (Benchmark::Em3d, 60u32),
         (Benchmark::Tomcatv, 100),
         (Benchmark::Ocean, 160),
     ];
-    // Best speedup observed at 4 shards, by each metric.
-    let mut best_wall_at_4 = 0.0f64;
-    let mut best_cp_at_4 = 0.0f64;
+    // Best speedup observed at 2 shards, by each metric.
+    let mut best_wall_at_2 = 0.0f64;
+    let mut best_cp_at_2 = 0.0f64;
     for (benchmark, iters) in suite {
         let mut serial: Option<(f64, f64, Metrics)> = None;
         for shards in SHARDS {
-            // Threaded run: end-to-end wall clock (the production path).
-            let (wall, _, metrics) = one_run(benchmark, iters, shards, false);
+            let threads = shards.min(host_cores);
+            // Threaded runs: end-to-end wall clock (the production path).
+            let mut walls = Vec::with_capacity(WALL_REPS);
+            let mut metrics = None;
+            for _ in 0..WALL_REPS {
+                let (wall, _, m) = one_run(benchmark, iters, shards, false);
+                walls.push(wall);
+                assert!(
+                    metrics.as_ref().is_none_or(|prev| *prev == m),
+                    "threaded reruns diverged"
+                );
+                metrics = Some(m);
+            }
+            let wall = median(walls);
+            let metrics = metrics.expect("at least one rep");
             // Single-threaded run: exact per-shard work for the critical
             // path (and a second bit-identity check of the same partition).
             let (_, busy, st_metrics) = one_run(benchmark, iters, shards, true);
@@ -136,14 +171,15 @@ fn main() {
             );
             let wall_speedup = *serial_wall / wall;
             let cp_speedup = *serial_busy / busy_max;
-            if shards == 4 {
-                best_wall_at_4 = best_wall_at_4.max(wall_speedup);
-                best_cp_at_4 = best_cp_at_4.max(cp_speedup);
+            if shards == 2 {
+                best_wall_at_2 = best_wall_at_2.max(wall_speedup);
+                best_cp_at_2 = best_cp_at_2.max(cp_speedup);
             }
             println!(
-                "{:<14} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>11.2}x {:>9.2}x",
+                "{:<14} {:>6} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>11.2}x {:>9.2}x",
                 benchmark.name(),
                 shards,
+                threads,
                 wall,
                 busy_max,
                 busy_sum,
@@ -155,6 +191,8 @@ fn main() {
                 .field("nodes", NODES)
                 .field("iterations", u64::from(iters))
                 .field("shards", shards as u64)
+                .field("host_cores", host_cores as u64)
+                .field("threads", threads as u64)
                 .field("wall_secs", wall)
                 .field("busy_secs_max", busy_max)
                 .field("busy_secs_sum", busy_sum)
@@ -165,31 +203,23 @@ fn main() {
             writeln!(out, "{}", record.render()).expect("write record");
         }
     }
-    // The acceptance verdict: wall clock is the metric when the host can
-    // actually run 4 shards at once; on smaller hosts wall-clock measures
-    // the scheduler, not the engine, so the critical path stands in.
-    let (metric, best_at_4) = if host_cores >= 4 {
-        ("wall", best_wall_at_4)
-    } else {
-        ("critical_path", best_cp_at_4)
-    };
+    let pass = best_wall_at_2 >= ACCEPT_AT_2;
     let meta = JsonObject::new()
         .field("meta", "shard_scaling")
         .field("host_cores", host_cores as u64)
-        .field("acceptance_speedup_at_4", 2.0)
-        .field("speedup_metric", metric)
-        .field("best_speedup_at_4", best_at_4)
-        .field("best_wall_speedup_at_4", best_wall_at_4)
-        .field("best_critical_path_speedup_at_4", best_cp_at_4)
-        .field("pass", best_at_4 >= 2.0)
+        .field("wall_reps", WALL_REPS as u64)
+        .field("acceptance_wall_speedup_at_2", ACCEPT_AT_2)
+        .field("best_wall_speedup_at_2", best_wall_at_2)
+        .field("best_critical_path_speedup_at_2", best_cp_at_2)
+        .field("pass", pass)
         .build();
     writeln!(out, "{}", meta.render()).expect("write meta");
     out.flush().expect("flush");
 
     println!();
     println!(
-        "best speedup at 4 shards ({metric}): {best_at_4:.2}x (acceptance: >= 2x) -> {}",
-        if best_at_4 >= 2.0 { "PASS" } else { "FAIL" }
+        "best wall speedup at 2 shards: {best_wall_at_2:.2}x (acceptance: >= {ACCEPT_AT_2}x) -> {}",
+        if pass { "PASS" } else { "FAIL" }
     );
     println!("baseline written to {}", out_path().display());
 }

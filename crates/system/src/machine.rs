@@ -7,8 +7,8 @@
 //!
 //! 1. pick the next window `[kL, (k+1)L)` containing the globally earliest
 //!    pending event (`L` = minimum cross-node latency, the lookahead);
-//! 2. run every shard's slice of that window — independently, on worker
-//!    threads when more than one shard is configured;
+//! 2. run every shard's slice of that window — independently, spread over
+//!    `min(shards, available cores)` threads, the calling one included;
 //! 3. at the boundary, exchange cross-shard messages, merge and replay the
 //!    shards' probe logs, and fold barrier arrivals into the global barrier
 //!    state (releases are scheduled at the boundary cycle).
@@ -18,7 +18,7 @@
 //! deterministic [`Event`] key order, the run is **bit-identical for every
 //! shard count** — `--shards 8` produces the same `RunReport` bytes as a
 //! serial run. The serial path *is* the 1-shard instance of the same
-//! engine, inlined without threads.
+//! window loop, run on the calling thread alone.
 //!
 //! Locks are executed as test-and-test-and-set loops over their shared
 //! block, with the lock value carried by the block's write-token parity
@@ -293,10 +293,7 @@ impl ProbeSink {
     }
 
     /// Consumes one window's per-shard logs at a boundary.
-    fn window<S: std::ops::DerefMut<Target = Shard>>(
-        &mut self,
-        shards: &mut [S],
-    ) -> Result<(), ObserverDead> {
+    fn window(&mut self, shards: &mut [MutexGuard<'_, Shard>]) -> Result<(), ObserverDead> {
         match self {
             ProbeSink::Sync {
                 probes,
@@ -369,10 +366,12 @@ pub struct Machine {
     cfg: SystemConfig,
     part: Partition,
     clock: WindowClock,
-    /// The machine slices. Workers lock their own shard for the duration of
-    /// a window; the coordinator locks all of them (uncontended — workers
-    /// are parked at the rendezvous barrier) for boundary work. In the
-    /// serial path the mutexes are used via `get_mut` and never contended.
+    /// The machine slices. A run uses `T = min(shards, available cores)`
+    /// threads, the calling one included; thread `t` drives shards `t`,
+    /// `t + T`, `t + 2T`, …, locking each for its slice of a window. The
+    /// calling thread then locks all of them for boundary work —
+    /// uncontended, since the workers are parked at the rendezvous. With
+    /// `T = 1` no lock is ever contended.
     shards: Vec<Mutex<Shard>>,
     sync: GlobalSync,
     /// Attached observers, called in attach order on every event of the
@@ -396,9 +395,12 @@ impl Machine {
         Machine::with_shards(cfg, policies, programs, 1)
     }
 
-    /// Assembles a machine partitioned into `shards` worker slices (clamped
-    /// to the node count). Results are bit-identical for every value of
-    /// `shards`; only wall-clock time changes.
+    /// Assembles a machine partitioned into `shards` slices (clamped to the
+    /// node count), which [`Machine::run`] drives on `T = min(shards,
+    /// available cores)` threads: thread `t` drives shards `t`, `t + T`,
+    /// `t + 2T`, …, the calling thread being thread 0. Results are
+    /// bit-identical for every value of `shards`; only wall-clock time
+    /// changes.
     ///
     /// # Panics
     ///
@@ -482,13 +484,13 @@ impl Machine {
     /// Host nanoseconds each shard has spent executing its windows (barrier
     /// waits and coordinator boundary work excluded), indexed by shard.
     /// Exact per-shard work under [`Machine::run_single_threaded`] (windows
-    /// run unpreempted there); under the threaded run it is only meaningful
-    /// when the host has at least one core per shard. The work-partition
-    /// view of a run: `serial busy / max shard busy` is the speedup the
-    /// partition supports once enough cores exist — the `shard_scaling`
-    /// bench's critical-path metric, and the number to look at when a
-    /// sharded run scales worse than expected (imbalance shows up as one
-    /// outlier shard).
+    /// run unpreempted there); under [`Machine::run`] threads never
+    /// outnumber cores, so it stays close unless other processes compete
+    /// for the host. The work-partition view of a run: `serial busy / max
+    /// shard busy` is the speedup the partition supports once enough cores
+    /// exist — the `shard_scaling` bench's critical-path metric, and the
+    /// number to look at when a sharded run scales worse than expected
+    /// (imbalance shows up as one outlier shard).
     pub fn shard_busy_ns(&self) -> Vec<u64> {
         self.shards.iter().map(|s| lock(s).busy_ns()).collect()
     }
@@ -549,25 +551,31 @@ impl Machine {
     /// events inside the final window but past the horizon are still
     /// handled. This keeps the check shard-count-invariant; the horizon is a
     /// deadlock backstop, not a precision instrument.
+    ///
+    /// Uses `min(shards, available cores)` threads, the calling thread
+    /// included: each drives a fixed group of shards (see
+    /// [`Machine::with_shards`]), so a run never has more threads than the
+    /// host has cores.
     pub fn run(&mut self, horizon: Cycle) -> RunSummary {
-        let threadless = self.shards.len() == 1;
-        self.run_with(horizon, threadless)
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        self.run_with(horizon, cores)
     }
 
-    /// Runs the machine exactly like [`Machine::run`], but drives every
-    /// shard from the calling thread — no workers, whatever the shard
-    /// count. Results are bit-identical to the threaded run (the two share
-    /// all window and boundary code); what changes is the host execution:
-    /// each shard's window runs unpreempted, so [`Machine::shard_busy_ns`]
-    /// measures per-shard work exactly. This is how the `shard_scaling`
-    /// bench takes its critical-path measurement, and a useful mode
-    /// wherever worker threads are unwelcome (profilers, constrained
-    /// hosts).
+    /// Runs the machine exactly like [`Machine::run`], but on one thread:
+    /// the calling thread drives every shard, in shard order, with no
+    /// workers and no barrier. Results are bit-identical to the threaded
+    /// run (the two are the same window loop); what changes is the host
+    /// execution: each shard's window runs unpreempted, so
+    /// [`Machine::shard_busy_ns`] measures per-shard work exactly. This is
+    /// how the `shard_scaling` bench takes its critical-path measurement,
+    /// and a useful mode wherever worker threads are unwelcome (profilers,
+    /// constrained hosts).
     pub fn run_single_threaded(&mut self, horizon: Cycle) -> RunSummary {
-        self.run_with(horizon, true)
+        self.run_with(horizon, 1)
     }
 
-    fn run_with(&mut self, horizon: Cycle, threadless: bool) -> RunSummary {
+    /// Runs on `threads` threads (clamped to `1..=shards`).
+    fn run_with(&mut self, horizon: Cycle, threads: usize) -> RunSummary {
         let log_events = !self.probes.is_empty();
         for s in &mut self.shards {
             lock_mut(s).set_log_events(log_events);
@@ -577,11 +585,8 @@ impl Machine {
         // buffer otherwise (see [`ProbeSink`]) — and come back at the end.
         let mut sink =
             log_events.then(|| ProbeSink::new(std::mem::take(&mut self.probes), self.cfg.nodes()));
-        let stop = if threadless {
-            self.run_threadless(horizon, sink.as_mut())
-        } else {
-            self.run_parallel(horizon, sink.as_mut())
-        };
+        let threads = threads.clamp(1, self.shards.len());
+        let stop = self.run_windows(horizon, sink.as_mut(), threads);
         if let Some(sink) = sink {
             // Re-raises the probe's own panic if the observer died mid-run
             // (`Err(ObserverDead)` below).
@@ -605,131 +610,122 @@ impl Machine {
         }
     }
 
-    /// The threadless engine: every shard's slice of each window runs on
-    /// the calling thread, in shard order (generic probes, when attached,
-    /// still observe from their own thread). With one shard this is the
-    /// serial path — and the reference the worker-thread path is
-    /// bit-identical to.
-    fn run_threadless(
+    /// The window loop, on `threads` threads (the calling one included).
+    ///
+    /// Thread `t` drives shards `t, t + threads, t + 2·threads, …`, in
+    /// ascending order, for every window. The threads rendezvous twice per
+    /// window on a spin barrier — once to start it, once when all groups
+    /// are done — and between windows the calling thread alone picks the
+    /// next window and does the boundary work while the workers wait. With
+    /// one thread there are no workers and no barrier: every shard runs
+    /// inline, in shard order. Window selection and the boundary do not
+    /// depend on which thread ran a shard, so every thread count gives the
+    /// same bits.
+    ///
+    /// A panic inside a window (on any thread) or in the boundary fold is
+    /// caught and its payload recorded; the window's rendezvous completes,
+    /// the workers are released to exit, and the first payload is re-raised
+    /// on the calling thread.
+    fn run_windows(
         &mut self,
         horizon: Cycle,
         mut sink: Option<&mut ProbeSink>,
-    ) -> Result<StopReason, ObserverDead> {
-        let (shards, sync) = (&mut self.shards, &mut self.sync);
-        loop {
-            let mut guards: Vec<&mut Shard> = shards.iter_mut().map(lock_mut).collect();
-            let Some(t) = guards.iter().filter_map(|s| s.next_event_time()).min() else {
-                return Ok(StopReason::Drained);
-            };
-            if t > horizon {
-                return Ok(StopReason::HorizonReached);
-            }
-            let (start, end) = self.clock.window_of(t);
-            for s in &mut guards {
-                s.run_window(start, end);
-            }
-            boundary(&mut guards, sync, sink.as_deref_mut(), self.part, end)?;
-        }
-    }
-
-    /// The multi-shard engine: persistent workers rendezvous with the
-    /// coordinator twice per window on a spin barrier. Worker panics are
-    /// caught, the fleet is shut down cleanly, and the first panic is
-    /// re-raised on the coordinating thread.
-    fn run_parallel(
-        &mut self,
-        horizon: Cycle,
-        mut sink: Option<&mut ProbeSink>,
+        threads: usize,
     ) -> Result<StopReason, ObserverDead> {
         let clock = self.clock;
         let part = self.part;
-        let shards = &self.shards;
+        let shards = &self.shards[..];
         let sync = &mut self.sync;
-        let barrier = SpinBarrier::new(shards.len() + 1);
+        let barrier = (threads > 1).then(|| SpinBarrier::new(threads));
+        let rendezvous = || {
+            if let Some(barrier) = &barrier {
+                barrier.wait();
+            }
+        };
+        // Cleared only by the calling thread, right before the rendezvous
+        // that releases the workers to exit.
         let running = AtomicBool::new(true);
         let win_start = AtomicU64::new(0);
         let win_end = AtomicU64::new(0);
-        let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for shard in shards {
-                let (barrier, running, win_start, win_end, panics) =
-                    (&barrier, &running, &win_start, &win_end, &panics);
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let record = |payload| {
+            lock_raw(&panicked).get_or_insert(payload);
+        };
+        // Runs thread `t`'s shard group over the published window.
+        let run_group = |t: usize| {
+            let start = Cycle::new(win_start.load(Ordering::Acquire));
+            let end = Cycle::new(win_end.load(Ordering::Acquire));
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                for shard in shards.iter().skip(t).step_by(threads) {
+                    lock(shard).run_window(start, end);
+                }
+            }));
+            if let Err(payload) = result {
+                record(payload);
+            }
+        };
+        let stop = std::thread::scope(|scope| {
+            for t in 1..threads {
+                let (rendezvous, running, run_group) = (&rendezvous, &running, &run_group);
                 scope.spawn(move || loop {
-                    barrier.wait();
+                    rendezvous();
                     if !running.load(Ordering::Acquire) {
                         break;
                     }
-                    let start = Cycle::new(win_start.load(Ordering::Acquire));
-                    let end = Cycle::new(win_end.load(Ordering::Acquire));
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                        lock(shard).run_window(start, end);
-                    }));
-                    if let Err(payload) = result {
-                        lock_raw(panics).push(payload);
-                        running.store(false, Ordering::Release);
-                    }
-                    barrier.wait();
+                    run_group(t);
+                    rendezvous();
                 });
             }
-            loop {
-                // Boundary phase: workers are parked at the rendezvous, so
-                // every lock below is uncontended. Window selection cannot
-                // panic; the boundary fold can (malformed barrier
-                // workloads), so it runs under catch_unwind to shut the
-                // fleet down before re-raising.
-                let decision = {
-                    let t_min = shards
-                        .iter()
-                        .filter_map(|s| lock(s).next_event_time())
-                        .min();
-                    match t_min {
-                        None => Some(StopReason::Drained),
-                        Some(t) if t > horizon => Some(StopReason::HorizonReached),
-                        Some(t) => {
-                            let (start, end) = clock.window_of(t);
-                            win_start.store(start.as_u64(), Ordering::Release);
-                            win_end.store(end.as_u64(), Ordering::Release);
-                            None
-                        }
+            // Boundary guards, reused across windows.
+            let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shards.len());
+            let stop = loop {
+                // Workers are parked at the rendezvous between windows, so
+                // every lock the calling thread takes here is uncontended.
+                let t_min = shards
+                    .iter()
+                    .filter_map(|s| lock(s).next_event_time())
+                    .min();
+                let end = match t_min {
+                    None => break Ok(StopReason::Drained),
+                    Some(t) if t > horizon => break Ok(StopReason::HorizonReached),
+                    Some(t) => {
+                        let (start, end) = clock.window_of(t);
+                        win_start.store(start.as_u64(), Ordering::Release);
+                        win_end.store(end.as_u64(), Ordering::Release);
+                        end
                     }
                 };
-                if let Some(stop) = decision {
-                    running.store(false, Ordering::Release);
-                    barrier.wait(); // release workers; they observe the flag and exit
-                    return Ok(stop);
+                rendezvous(); // workers start the window
+                run_group(0);
+                rendezvous(); // every group finished the window
+                if lock_raw(&panicked).is_some() {
+                    break Ok(StopReason::Drained); // re-raised below
                 }
-                barrier.wait(); // workers start the window
-                barrier.wait(); // workers finished the window
-                if !running.load(Ordering::Acquire) {
-                    // A worker panicked inside its window. The others have
-                    // completed theirs; release them to exit, then re-raise.
-                    barrier.wait();
-                    let payload = lock_raw(&panics).pop().expect("panic payload recorded");
-                    panic::resume_unwind(payload);
-                }
+                // The boundary fold can panic (malformed barrier workloads).
+                guards.extend(shards.iter().map(lock));
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut guards: Vec<MutexGuard<'_, Shard>> =
-                        shards.iter().map(|s| lock(s)).collect();
-                    let end = Cycle::new(win_end.load(Ordering::Acquire));
                     boundary(&mut guards, sync, sink.as_deref_mut(), part, end)
                 }));
-                let fold = match result {
-                    Ok(fold) => fold,
+                guards.clear();
+                match result {
+                    Ok(Ok(())) => {}
+                    // The observer thread died (a probe panicked); the
+                    // caller re-raises its panic on join.
+                    Ok(Err(ObserverDead)) => break Err(ObserverDead),
                     Err(payload) => {
-                        running.store(false, Ordering::Release);
-                        barrier.wait(); // release workers; they observe the flag and exit
-                        panic::resume_unwind(payload);
+                        record(payload);
+                        break Ok(StopReason::Drained); // re-raised below
                     }
-                };
-                if fold.is_err() {
-                    // The observer thread died (a probe panicked); shut the
-                    // fleet down and let the caller re-raise on join.
-                    running.store(false, Ordering::Release);
-                    barrier.wait(); // release workers; they observe the flag and exit
-                    return Err(ObserverDead);
                 }
-            }
-        })
+            };
+            running.store(false, Ordering::Release);
+            rendezvous(); // release workers; they observe the flag and exit
+            stop
+        });
+        if let Some(payload) = panicked.into_inner().unwrap_or_else(|p| p.into_inner()) {
+            panic::resume_unwind(payload);
+        }
+        stop
     }
 
     // ---- teardown --------------------------------------------------------
@@ -803,11 +799,11 @@ fn lock_raw<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 /// One window boundary: cross-shard message exchange, probe-log handoff to
-/// the sink, and the global barrier fold. Shared verbatim by the serial and
-/// parallel paths — `S` is `&mut Shard` or a mutex guard. Returns `Err`
-/// when the sink's observer thread has died (a probe panicked).
-fn boundary<S: std::ops::DerefMut<Target = Shard>>(
-    shards: &mut [S],
+/// the sink, and the global barrier fold, over every shard in shard order.
+/// Returns `Err` when the sink's observer thread has died (a probe
+/// panicked).
+fn boundary(
+    shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
     mut sink: Option<&mut ProbeSink>,
     part: Partition,
@@ -882,9 +878,18 @@ mod tests {
             .collect()
     }
 
-    fn run(mut machine: Machine) -> (Metrics, StopReason) {
+    fn run(machine: Machine) -> (Metrics, StopReason) {
+        run_on(machine, None)
+    }
+
+    /// Runs on `threads` threads, or through [`Machine::run`] for `None`.
+    fn run_on(mut machine: Machine, threads: Option<usize>) -> (Metrics, StopReason) {
         machine.attach_core_metrics();
-        let summary = machine.run(Cycle::new(50_000_000));
+        let horizon = Cycle::new(50_000_000);
+        let summary = match threads {
+            None => machine.run(horizon),
+            Some(threads) => machine.run_with(horizon, threads),
+        };
         assert_ne!(
             summary.stop,
             StopReason::HorizonReached,
@@ -1279,15 +1284,18 @@ mod tests {
             let (cfg, programs) = mixed_workload(6);
             run(Machine::new(cfg, null_policies(6), programs))
         };
+        // Two threads put several shards in one thread's group whatever
+        // the host's core count.
         for shards in [2usize, 3, 4, 6] {
-            let (cfg, programs) = mixed_workload(6);
-            let sharded = run(Machine::with_shards(
-                cfg,
-                null_policies(6),
-                programs,
-                shards,
-            ));
-            assert_eq!(serial, sharded, "{shards}-shard run diverged from serial");
+            for threads in [None, Some(2)] {
+                let (cfg, programs) = mixed_workload(6);
+                let machine = Machine::with_shards(cfg, null_policies(6), programs, shards);
+                assert_eq!(
+                    serial,
+                    run_on(machine, threads),
+                    "{shards}-shard run on {threads:?} threads diverged from serial"
+                );
+            }
         }
     }
 
@@ -1322,5 +1330,72 @@ mod tests {
         .expect_err("malformed barrier workload must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("distinct barrier"), "unexpected panic: {msg}");
+    }
+
+    /// A policy that panics on its first touch.
+    #[derive(Debug)]
+    struct PanicOnTouch;
+
+    impl SelfInvalidationPolicy for PanicOnTouch {
+        fn name(&self) -> &'static str {
+            "panic-on-touch"
+        }
+        fn on_touch(&mut self, _t: Touch) -> bool {
+            panic!("panic-on-touch fired");
+        }
+        fn on_verification(&mut self, _b: BlockId, _outcome: VerifyOutcome) {}
+    }
+
+    /// Runs the 6-node mixed workload on `shards` shards and `threads`
+    /// threads with a panicking policy on the first node of shard `culprit`,
+    /// and returns the panic message the run re-raised. A run that hangs
+    /// fails after a minute instead of stalling the suite.
+    fn window_panic_message(shards: usize, threads: usize, culprit: usize) -> String {
+        let (cfg, programs) = mixed_workload(6);
+        let node = Partition::new(6, shards).range(culprit).0;
+        let policies = (0..6)
+            .map(|i| -> Box<dyn SelfInvalidationPolicy> {
+                if i == node {
+                    Box::new(PanicOnTouch)
+                } else {
+                    Box::new(NullPolicy)
+                }
+            })
+            .collect();
+        let mut machine = Machine::with_shards(cfg, policies, programs, shards);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                machine.run_with(Cycle::new(50_000_000), threads);
+            }));
+            let msg = match result {
+                Ok(()) => "no panic".to_string(),
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .unwrap_or_default(),
+            };
+            let _ = tx.send(msg);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{shards} shards on {threads} threads hung"))
+    }
+
+    #[test]
+    fn window_panic_on_the_calling_threads_shard_is_reraised() {
+        assert_eq!(window_panic_message(2, 2, 0), "panic-on-touch fired");
+    }
+
+    #[test]
+    fn window_panic_on_a_worker_shard_is_reraised() {
+        assert_eq!(window_panic_message(2, 2, 1), "panic-on-touch fired");
+    }
+
+    #[test]
+    fn window_panic_on_a_later_shard_of_a_group_is_reraised() {
+        // 3 shards on 2 threads: the calling thread drives shards 0 and 2.
+        assert_eq!(window_panic_message(3, 2, 2), "panic-on-touch fired");
+        // 4 shards on 2 threads: the worker drives shards 1 and 3.
+        assert_eq!(window_panic_message(4, 2, 3), "panic-on-touch fired");
     }
 }

@@ -75,9 +75,11 @@ pub(crate) struct ProbeEntry {
 ///
 /// `std::sync::Barrier` parks threads in the kernel; at tens of thousands of
 /// windows per run the wake-up latency dominates the small windows. This
-/// barrier spins (with a `yield_now` fallback so oversubscribed machines
-/// still make progress), which keeps the per-window synchronization cost in
-/// the sub-microsecond range.
+/// barrier spins, which keeps the per-window synchronization cost in the
+/// sub-microsecond range. Spinning is only cheap when every participant has
+/// a core, so the machine sizes it to its thread count, which never exceeds
+/// the available cores; the `yield_now` fallback after a long spin only
+/// covers a host that other processes share.
 #[derive(Debug)]
 pub(crate) struct SpinBarrier {
     total: usize,

@@ -224,10 +224,10 @@ impl SweepSpec {
 
     /// Sets the number of simulation shards for *every* run of the cross
     /// product (see [`ExperimentSpec::shards`]). Sharding splits one
-    /// machine across worker threads; it changes wall-clock time only —
-    /// every report stays bit-identical to a one-shard run. `0` is treated
-    /// as 1. Orthogonal to [`SweepSpec::threads`], which parallelizes
-    /// *across* runs.
+    /// machine across up to one thread per core; it changes wall-clock
+    /// time only — every report stays bit-identical to a one-shard run.
+    /// `0` is treated as 1. Orthogonal to [`SweepSpec::threads`], which
+    /// parallelizes *across* runs; the two do not share a thread budget.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -75,9 +75,10 @@ OPTIONS:
                                    | ptr:<I>    (Dir_I_B limited pointers)
                                    | sparse:<E> (bounded entry cache, E entries)
     -j, --jobs <N>            sweep worker threads     [default: all cores; 1 = serial]
-        --shards <N|auto>     worker shards per machine        [default: 1]
-                              splits each simulated machine across N threads;
-                              reports stay bit-identical to --shards 1
+        --shards <N|auto>     shards per machine               [default: 1]
+                              splits each simulated machine into N slices run
+                              on min(N, available cores) threads; reports stay
+                              bit-identical to --shards 1
                               (`auto` = all available cores)
         --probe <spec>        attach a probe (repeatable; run/sweep/compare/suite/check)
                               e.g. --probe per-node --probe hist:self-inv-lead
