@@ -5,7 +5,9 @@
 //!
 //! * [`Cycle`] — simulated time in processor cycles;
 //! * [`KeyedEventQueue`] — a future-event list with a deterministic total
-//!   order, `(time, key, insertion sequence)`;
+//!   order, `(time, key, insertion sequence)`: a calendar queue of
+//!   one-cycle buckets over the next 256 cycles, with a binary heap for
+//!   events further ahead; scheduling before the last popped cycle panics;
 //! * [`RunSummary`]/[`StopReason`] — what an event loop reports when it stops;
 //! * [`SimRng`] — seeded randomness so workloads are reproducible;
 //! * [`stats`] — counters, mean accumulators, ratios, histograms used by the

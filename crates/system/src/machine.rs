@@ -49,7 +49,7 @@ use ltp_workloads::Program;
 use crate::metrics::Metrics;
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
 use crate::probes::CoreMetricsProbe;
-use crate::shard::channel::{ProbeEntry, SpinBarrier, SyncEvent, SyncRecord};
+use crate::shard::channel::{ProbeEntry, SpinBarrier, Stamped, SyncEvent, SyncRecord};
 use crate::shard::clock::WindowClock;
 use crate::shard::{Partition, Shard};
 
@@ -676,8 +676,9 @@ impl Machine {
                     rendezvous();
                 });
             }
-            // Boundary guards, reused across windows.
+            // Boundary guards and buffers, reused across windows.
             let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shards.len());
+            let mut bufs = BoundaryBufs::default();
             let stop = loop {
                 // Workers are parked at the rendezvous between windows, so
                 // every lock the calling thread takes here is uncontended.
@@ -704,7 +705,7 @@ impl Machine {
                 // The boundary fold can panic (malformed barrier workloads).
                 guards.extend(shards.iter().map(lock));
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    boundary(&mut guards, sync, sink.as_deref_mut(), part, end)
+                    boundary(&mut guards, sync, sink.as_deref_mut(), &mut bufs, part, end)
                 }));
                 guards.clear();
                 match result {
@@ -798,6 +799,16 @@ fn lock_raw<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// The buffers a window boundary drains the shards into, kept for the
+/// whole run so that a boundary allocates nothing in the steady state.
+#[derive(Default)]
+struct BoundaryBufs {
+    /// One source shard's messages for one destination shard.
+    msgs: Vec<Stamped>,
+    /// Every shard's barrier and finish records for the window.
+    records: Vec<SyncRecord>,
+}
+
 /// One window boundary: cross-shard message exchange, probe-log handoff to
 /// the sink, and the global barrier fold, over every shard in shard order.
 /// Returns `Err` when the sink's observer thread has died (a probe
@@ -806,20 +817,23 @@ fn boundary(
     shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
     mut sink: Option<&mut ProbeSink>,
+    bufs: &mut BoundaryBufs,
     part: Partition,
     end: Cycle,
 ) -> Result<(), ObserverDead> {
-    // 1. Redistribute cross-shard messages into their destination queues.
-    //    Delivery cycles are ≥ `end` by the conservative lookahead, so every
-    //    message lands in a window that has not run yet.
-    let outboxes: Vec<_> = shards.iter_mut().map(|s| s.take_outboxes()).collect();
-    for (src, per_dst) in outboxes.into_iter().enumerate() {
-        for (dst, stamped) in per_dst.into_iter().enumerate() {
+    // 1. Redistribute cross-shard messages into their destination queues,
+    //    source shard by source shard, each in destination order. Delivery
+    //    cycles are ≥ `end` by the conservative lookahead, so every message
+    //    lands in a window that has not run yet.
+    let n = shards.len();
+    for src in 0..n {
+        for dst in 0..n {
+            shards[src].drain_outbox_into(dst, &mut bufs.msgs);
             debug_assert!(
-                dst != src || stamped.is_empty(),
+                dst != src || bufs.msgs.is_empty(),
                 "same-shard messages are scheduled directly, never boxed"
             );
-            for st in stamped {
+            for st in bufs.msgs.drain(..) {
                 debug_assert!(
                     st.deliver >= end,
                     "cross-shard delivery at {} inside the window ending {end}",
@@ -838,13 +852,15 @@ fn boundary(
     // 3. Fold barrier arrivals and completions (in global `(cycle, node)`
     //    order) and schedule releases at the boundary cycle — a grid point,
     //    hence identical for every shard count.
-    let mut records: Vec<SyncRecord> = Vec::new();
+    let records = &mut bufs.records;
     for s in shards.iter_mut() {
-        records.append(&mut s.take_sync_log());
+        s.drain_sync_log_into(records);
     }
     if !records.is_empty() {
         records.sort_by_key(|r| (r.at, r.node));
-        for (id, waiters) in sync.fold(&records) {
+        let released = sync.fold(records);
+        records.clear();
+        for (id, waiters) in released {
             let event = SimEvent::BarrierRelease {
                 id,
                 waiters: waiters.len() as u16,

@@ -33,9 +33,9 @@ pub(crate) mod channel;
 pub(crate) mod clock;
 mod partition;
 
-use std::collections::HashMap;
-
-use ltp_core::{BlockId, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome};
+use ltp_core::{
+    BlockId, FxHashMap, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome,
+};
 use ltp_dsm::{
     AccessOutcome, DirEvent, Directory, Message, MsgKind, NetIface, NodeCache, ProtocolEngine,
     SystemConfig,
@@ -77,52 +77,50 @@ pub enum Event {
 
 /// The deterministic same-cycle ordering key (see the module docs).
 ///
-/// Derived `Ord` compares fields in declaration order: event class first
-/// (CPU activity before arrivals before engine drains before directory
-/// reinjections), then the acting node, then the sender and its FIFO
-/// sequence number for arrivals.
+/// The key orders by event class first (CPU activity before arrivals
+/// before engine drains before directory reinjections), then the acting
+/// node, then the sender and its FIFO sequence number for arrivals. The
+/// four fields are packed into one `u128`, most significant first —
+/// `class` in bits 96..104, `actor` in 80..96, `src` in 64..80 and `seq`
+/// in 0..64 — so one integer comparison gives exactly that lexicographic
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey {
-    class: u8,
-    actor: u16,
-    src: u16,
-    seq: u64,
-}
+pub(crate) struct EventKey(u128);
 
 impl EventKey {
+    #[inline(always)]
+    fn pack(class: u8, actor: u16, src: u16, seq: u64) -> Self {
+        EventKey(
+            u128::from(class) << 96
+                | u128::from(actor) << 80
+                | u128::from(src) << 64
+                | u128::from(seq),
+        )
+    }
+
     /// `CpuStep` / `BarrierResume` for node `p`. A node waiting at a barrier
     /// has no pending `CpuStep`, so the two uses can never collide on the
     /// same `(cycle, key)`.
     fn cpu(p: NodeId) -> Self {
-        EventKey {
-            class: 0,
-            actor: p.index() as u16,
-            src: 0,
-            seq: 0,
-        }
+        Self::pack(0, p.index() as u16, 0, 0)
     }
 
     /// `Arrive` at `dst`, uniquely identified by the sender and the sender's
     /// per-node send sequence number.
     fn arrive(dst: NodeId, src: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: 1,
-            actor: dst.index() as u16,
-            src: ltp_dsm::mutation::arrive_key_src(src.index() as u16),
+        Self::pack(
+            1,
+            dst.index() as u16,
+            ltp_dsm::mutation::arrive_key_src(src.index() as u16),
             seq,
-        }
+        )
     }
 
     /// `EngineDrain` at home `h`. Duplicate same-cycle drains are idempotent
     /// (the engine dequeues nothing), so the insertion-sequence fallback
     /// never orders observable work.
     fn drain(h: NodeId) -> Self {
-        EventKey {
-            class: 2,
-            actor: h.index() as u16,
-            src: 0,
-            seq: 0,
-        }
+        Self::pack(2, h.index() as u16, 0, 0)
     }
 
     /// A directory reinjection at home `h` (a request re-presented after a
@@ -130,12 +128,7 @@ impl EventKey {
     /// reinjection counter — a separate class so it cannot collide with a
     /// genuine arrival from the same sender.
     fn reinject(h: NodeId, src: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: 3,
-            actor: h.index() as u16,
-            src: src.index() as u16,
-            seq,
-        }
+        Self::pack(3, h.index() as u16, src.index() as u16, seq)
     }
 }
 
@@ -253,7 +246,7 @@ pub(crate) struct Shard {
     /// (per source→destination FIFO) network — delivering an invalidation
     /// for a copy that has not arrived yet. Directory sends for one block
     /// therefore depart in service order.
-    dir_send_order: Vec<HashMap<BlockId, Cycle>>,
+    dir_send_order: Vec<FxHashMap<BlockId, Cycle>>,
     /// Per-local-node FIFO sequence for sent messages (part of arrival
     /// event keys).
     send_seq: Vec<u64>,
@@ -263,7 +256,7 @@ pub(crate) struct Shard {
     /// has consumed. The flag's current generation is the block's data token
     /// (its write count), so spins observe real coherence state — a stale
     /// cached copy really does show the old generation.
-    flag_waited: HashMap<(u16, BlockId), u64>,
+    flag_waited: FxHashMap<(u16, BlockId), u64>,
     queue: KeyedEventQueue<EventKey, Event>,
     /// Per-destination-shard buffers of messages leaving this shard, drained
     /// by the coordinator at each window boundary.
@@ -358,10 +351,10 @@ impl Shard {
             dirs,
             engines,
             nis,
-            dir_send_order: (0..count).map(|_| HashMap::new()).collect(),
+            dir_send_order: (0..count).map(|_| FxHashMap::default()).collect(),
             send_seq: vec![0; count],
             reinject_seq: vec![0; count],
-            flag_waited: HashMap::new(),
+            flag_waited: FxHashMap::default(),
             queue,
             outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
             sync_log: Vec::new(),
@@ -457,15 +450,16 @@ impl Shard {
             .schedule(at, EventKey::cpu(node), Event::BarrierResume { node, id });
     }
 
-    /// Takes the per-destination outboxes accumulated this window.
-    pub fn take_outboxes(&mut self) -> Vec<Vec<Stamped>> {
-        let shards = self.outbox.len();
-        std::mem::replace(&mut self.outbox, (0..shards).map(|_| Vec::new()).collect())
+    /// Moves the messages bound for shard `dst` this window, in send order,
+    /// onto the end of `out`. The outbox keeps its capacity.
+    pub fn drain_outbox_into(&mut self, dst: usize, out: &mut Vec<Stamped>) {
+        out.append(&mut self.outbox[dst]);
     }
 
-    /// Drains the barrier/finish records accumulated this window.
-    pub fn take_sync_log(&mut self) -> Vec<SyncRecord> {
-        std::mem::take(&mut self.sync_log)
+    /// Moves the barrier/finish records accumulated this window onto the end
+    /// of `out`. The log keeps its capacity.
+    pub fn drain_sync_log_into(&mut self, out: &mut Vec<SyncRecord>) {
+        out.append(&mut self.sync_log);
     }
 
     /// The window's probe log, for the coordinator's boundary merge.
@@ -1344,6 +1338,22 @@ mod tests {
             EventKey::arrive(NodeId::new(0), NodeId::new(1), 5)
                 < EventKey::arrive(NodeId::new(0), NodeId::new(1), 6),
             "same-edge arrivals order by FIFO sequence"
+        );
+        // Every field outranks all lower ones at their extremes.
+        assert!(
+            EventKey::arrive(NodeId::new(0), NodeId::new(1), u64::MAX)
+                < EventKey::arrive(NodeId::new(0), NodeId::new(2), 0),
+            "the sender outranks the sequence"
+        );
+        assert!(
+            EventKey::arrive(NodeId::new(0), NodeId::new(u16::MAX), u64::MAX)
+                < EventKey::arrive(NodeId::new(1), NodeId::new(0), 0),
+            "the actor outranks the sender"
+        );
+        assert!(
+            EventKey::reinject(NodeId::new(0), NodeId::new(0), 0)
+                > EventKey::drain(NodeId::new(u16::MAX)),
+            "the class outranks the actor"
         );
     }
 
